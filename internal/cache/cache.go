@@ -95,6 +95,17 @@ func New(name string, capacityBytes, ways, lineSize int) *Cache {
 	return c
 }
 
+// Reset empties the cache and zeroes its counters, returning it to the state
+// New builds, without reallocating its arrays.
+func (c *Cache) Reset() {
+	clear(c.tags)
+	clear(c.flags)
+	clear(c.lru)
+	clear(c.hint)
+	c.tick = 0
+	c.hits, c.misses, c.evictions, c.writebacks = 0, 0, 0, 0
+}
+
 func (c *Cache) indexOf(a memdef.VirtAddr) (set int, tag uint64) {
 	blk := uint64(a) >> c.shift
 	if c.setMask != 0 || c.sets == 1 {

@@ -80,6 +80,21 @@ func New(eng *engine.Engine, cfg memdef.Config) *DRAM {
 	return d
 }
 
+// Reset returns the DRAM to the state New builds — every row buffer closed,
+// every horizon and counter zero — without reallocating.
+func (d *DRAM) Reset() {
+	for _, ch := range d.channels {
+		ch.bus.Reset()
+		for i := range ch.banks {
+			bk := &ch.banks[i]
+			bk.res.Reset()
+			bk.openRow, bk.hasRow = 0, false
+			bk.rowHits, bk.rowMisses = 0, 0
+		}
+	}
+	d.reads, d.writes = 0, 0
+}
+
 // route maps an address to (channel, bank, row): rows interleave across
 // channels, then across banks within the channel.
 func (d *DRAM) route(a memdef.VirtAddr) (*channel, *bank, uint64) {

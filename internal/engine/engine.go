@@ -139,6 +139,35 @@ func New() *Engine {
 	return &Engine{}
 }
 
+// Reset returns the engine to the state New builds — cycle 0, an empty
+// queue, no budget, periodic hook, watchdog or pause boundary — while keeping
+// its event-node pool: events still queued when the previous run stopped
+// (an abort or an exhausted budget leaves some) go back to the free list.
+func (e *Engine) Reset() {
+	for w, word := range e.ringBits {
+		for ; word != 0; word &= word - 1 {
+			for n := e.ring[w<<6+bits.TrailingZeros64(word)].head; n != nil; {
+				next := n.next
+				e.recycle(n)
+				n = next
+			}
+		}
+	}
+	for i, n := range e.overflow {
+		e.recycle(n)
+		e.overflow[i] = nil
+	}
+	free, overflow := e.free, e.overflow[:0]
+	*e = Engine{}
+	e.free, e.overflow = free, overflow
+}
+
+// recycle clears n and pushes it on the free list.
+func (e *Engine) recycle(n *eventNode) {
+	*n = eventNode{next: e.free}
+	e.free = n
+}
+
 // Now returns the current simulated cycle.
 func (e *Engine) Now() memdef.Cycle { return e.now }
 
@@ -318,6 +347,24 @@ func (e *Engine) ScheduleArgAt(at memdef.Cycle, fn func(uint64), arg uint64) {
 	n := e.alloc()
 	n.argFn = fn
 	n.arg = arg
+	e.insert(n, at)
+}
+
+// ScheduleArgAtTagged is ScheduleArgAt with a snapshot tag (see
+// ScheduleTagged).
+func (e *Engine) ScheduleArgAtTagged(at memdef.Cycle, tag Tag, fn func(uint64), arg uint64) {
+	if at < e.now {
+		//cppelint:panicfree scheduling in the past is a component bug that would silently corrupt event order; fail loudly, recovered by the harness
+		panic(fmt.Sprintf("engine: ScheduleArgAtTagged(%d) in the past (now=%d)", at, e.now))
+	}
+	if fn == nil {
+		//cppelint:panicfree nil-callback guard catches a wiring bug at the call site; the harness converts the panic to Result.Err via ErrPanic
+		panic("engine: ScheduleArgAtTagged called with nil fn")
+	}
+	n := e.alloc()
+	n.argFn = fn
+	n.arg = arg
+	n.tag = tag
 	e.insert(n, at)
 }
 
@@ -589,6 +636,9 @@ type Resource struct {
 func NewResource(eng *Engine, name string) *Resource {
 	return &Resource{eng: eng, name: name}
 }
+
+// Reset returns the resource to idle with no booked history.
+func (r *Resource) Reset() { r.free, r.busy = 0, 0 }
 
 // Acquire books dur cycles of exclusive use starting no earlier than now and
 // no earlier than the end of previously booked work. It returns the

@@ -153,8 +153,8 @@ func (s *Semaphore) Encode(w *snapshot.Writer) {
 	w.Mark("SEM ")
 	w.PutU64(uint64(s.held))
 	w.PutU64(uint64(s.peak))
-	w.PutU64(uint64(len(s.waiters)))
-	for _, wt := range s.waiters {
+	w.PutU64(uint64(s.Waiting()))
+	for _, wt := range s.waiters[s.head:] {
 		if wt.tag.Kind == 0 {
 			w.Fail(fmt.Errorf("%w (semaphore waiter)", ErrUntagged))
 			return
@@ -176,7 +176,9 @@ func (s *Semaphore) Decode(r *snapshot.Reader, resolve Resolver) {
 		return
 	}
 	n := r.GetCount(18)
+	clear(s.waiters)
 	s.waiters = s.waiters[:0]
+	s.head = 0
 	for i := 0; i < n; i++ {
 		tag := Tag{Kind: r.GetU16(), A: r.GetU64(), B: r.GetU64()}
 		if r.Err() != nil {

@@ -41,6 +41,11 @@ type Chain struct {
 	//cppelint:statecov lookup index repopulated entry by entry as Decode replays PushTail
 	index map[memdef.ChunkID]*Entry
 	n     int
+	// free chains removed entries (through next) for newEntry to reuse, so
+	// an evict/re-migrate cycle allocates nothing. Callers never hold an
+	// entry past its Remove.
+	//cppelint:statecov entry pool is allocation recycling, not chain state
+	free *Entry
 }
 
 // NewChain returns an empty chain.
@@ -99,7 +104,13 @@ func (c *Chain) newEntry(id memdef.ChunkID) *Entry {
 		//cppelint:panicfree duplicate insert is a policy bug the audit ClassChain check also detects; zero-alloc hot path, recovered by the harness into Result.Err
 		panic(fmt.Sprintf("evict: chunk %v already in chain", id))
 	}
-	e := &Entry{Chunk: id}
+	e := c.free
+	if e == nil {
+		e = &Entry{}
+	} else {
+		c.free = e.next
+	}
+	*e = Entry{Chunk: id}
 	c.index[id] = e
 	c.n++
 	return e
@@ -121,9 +132,10 @@ func (c *Chain) Remove(e *Entry) {
 	} else {
 		c.tail = e.prev
 	}
-	e.prev, e.next = nil, nil
 	delete(c.index, e.Chunk)
 	c.n--
+	*e = Entry{next: c.free}
+	c.free = e
 }
 
 // MoveToTail makes e the MRU entry.

@@ -75,22 +75,10 @@ func (s *Session) writeCheckpoint(path string, k Key, b *built) error {
 
 // runCheckpointed drives a built machine to completion, writing a checkpoint
 // to path after every pause boundary. every <= 0 degrades to a plain run.
+// The machine returns to the session's free list unless the run panics.
 func (s *Session) runCheckpointed(k Key, b *built, path string, every memdef.Cycle) Result {
-	if every <= 0 || path == "" {
-		return s.collect(k, b, b.machine.Run(s.cfg.MaxEvents))
-	}
-	for {
-		res, paused := b.machine.RunUntil(s.cfg.MaxEvents, b.machine.Eng.Now()+every)
-		if !paused {
-			return s.collect(k, b, res)
-		}
-		if err := s.writeCheckpoint(path, k, b); err != nil {
-			// Fail-stop: a run the user asked to checkpoint but that cannot be
-			// checkpointed (or persisted) is reported, not silently degraded.
-			return Result{Key: k, Crashed: true, Err: err,
-				FootprintPages: b.footprint, CapacityPages: b.cfg.MemoryPages}
-		}
-	}
+	out, _ := s.runSegments(k, b, path, every, nil, nil)
+	return out
 }
 
 // RunCheckpointed executes one simulation like Run, additionally writing a
@@ -225,15 +213,19 @@ func (s *Session) restoreEnvelope(path string, env *envelope) (*built, error) {
 	}
 	wantJSON, err := memdef.ConfigJSON(b.cfg)
 	if err != nil {
+		s.machines.put(b.machine)
 		return nil, fmt.Errorf("harness: resume %s: %w", path, err)
 	}
 	if env.cfgJSON != string(wantJSON) {
+		s.machines.put(b.machine)
 		return nil, fmt.Errorf("%w: system configuration differs for %v", ErrCheckpointMismatch, env.key)
 	}
 	if env.footprint != b.footprint {
+		s.machines.put(b.machine)
 		return nil, fmt.Errorf("%w: workload differs for %v", ErrCheckpointMismatch, env.key)
 	}
 	if err := b.machine.Restore(env.blob); err != nil {
+		// A partially restored machine is dropped, not recycled.
 		return nil, fmt.Errorf("harness: resume %s: %w", path, err)
 	}
 	if got := b.machine.Eng.Now(); got != env.cycle {

@@ -152,18 +152,32 @@ func (s *Session) runResumable(k Key, path string, every memdef.Cycle, stop func
 	if err != nil {
 		return Result{Key: k, Crashed: true, Err: err}, false
 	}
+	return s.runSegments(k, b, path, every, stop, progress)
+}
+
+// runSegments drives a built machine to completion, writing a checkpoint to
+// path after every `every` cycles (every <= 0 or an empty path runs it in
+// one go). After each checkpoint the progress hook, then the stop hook, is
+// consulted (nil = none); a true stop parks the run. The machine returns to
+// the session's free list on every outcome except a panic.
+func (s *Session) runSegments(k Key, b *built, path string, every memdef.Cycle, stop func() bool, progress func(Progress)) (out Result, parked bool) {
 	if every <= 0 || path == "" {
-		return s.collect(k, b, b.machine.Run(s.cfg.MaxEvents)), false
+		out = s.collect(k, b, b.machine.Run(s.cfg.MaxEvents))
+		s.machines.put(b.machine)
+		return out, false
 	}
 	checkpoints := 0
 	for {
 		res, paused := b.machine.RunUntil(s.cfg.MaxEvents, b.machine.Eng.Now()+every)
 		if !paused {
-			return s.collect(k, b, res), false
+			out = s.collect(k, b, res)
+			s.machines.put(b.machine)
+			return out, false
 		}
 		if err := s.writeCheckpoint(path, k, b); err != nil {
-			// Fail-stop: a resumable run that cannot persist its checkpoint is
-			// reported, not silently degraded to a non-resumable one.
+			// Fail-stop: a run the user asked to checkpoint but that cannot be
+			// checkpointed (or persisted) is reported, not silently degraded.
+			s.machines.put(b.machine)
 			return Result{Key: k, Crashed: true, Err: err,
 				FootprintPages: b.footprint, CapacityPages: b.cfg.MemoryPages}, false
 		}
@@ -172,6 +186,7 @@ func (s *Session) runResumable(k Key, path string, every memdef.Cycle, stop func
 			progress(Progress{Key: k, Cycle: b.machine.Eng.Now(), Checkpoints: checkpoints})
 		}
 		if stop != nil && stop() {
+			s.machines.put(b.machine)
 			return Result{}, true
 		}
 	}

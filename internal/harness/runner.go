@@ -52,9 +52,9 @@ type Config struct {
 	// SweepEpoch is the lockstep batch length in simulated cycles for Warm
 	// sweeps: machines of one workload group all reach the same epoch
 	// boundary before any moves past it, and per-worker stats deltas commit
-	// at those boundaries. Zero selects 4M cycles; negative disables
-	// batching (each machine of a group runs to completion in turn, still
-	// sharing the memoized trace).
+	// at those boundaries. Zero selects 4M cycles. An epoch longer than any
+	// run (1<<62, say) runs each machine of a group to completion in turn,
+	// still sharing the memoized trace.
 	SweepEpoch memdef.Cycle
 }
 
@@ -144,6 +144,9 @@ type Session struct {
 	// sweepAgg accumulates sweep progress from the per-worker delta shards
 	// (see stats.SweepShard); it is only touched at epoch commits.
 	sweepAgg stats.SweepAgg
+	// machines is the free list of finished machines that later builds
+	// Reset instead of constructing new ones (see assemble).
+	machines machinePool
 
 	mu    sync.Mutex
 	cache map[Key]Result
@@ -332,6 +335,40 @@ type built struct {
 	traceHash uint64
 }
 
+// machinePool is a session's free list of machines ready for Reset. It is a
+// plain mutex-guarded slice rather than a sync.Pool: a pool the garbage
+// collector may empty would make a sweep's allocation count vary from run to
+// run. It holds at most as many machines as were ever live at once — under
+// Warm, Parallelism times the largest group.
+type machinePool struct {
+	mu   sync.Mutex
+	free []*sm.Machine
+}
+
+// get pops a machine, or returns nil when the list is empty.
+func (p *machinePool) get() *sm.Machine {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return nil
+	}
+	m := p.free[n-1]
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
+	return m
+}
+
+// put releases m's references to its run's inputs and pushes it. Callers
+// put only machines whose run ended without a panic and whose state was not
+// partially restored; such machines are dropped instead.
+func (p *machinePool) put(m *sm.Machine) {
+	m.Release()
+	p.mu.Lock()
+	p.free = append(p.free, m)
+	p.mu.Unlock()
+}
+
 // ErrTraceDrift reports that the session's memoized trace carries a
 // fingerprint different from the one a checkpoint envelope pinned: the
 // workload generator (or the memoized entry) drifted, so the checkpointed
@@ -373,10 +410,17 @@ func (s *Session) buildChecked(k Key, wantTraceHash uint64) (*built, error) {
 		return nil, fmt.Errorf("%w: trace %#x, checkpoint envelope %#x for %v",
 			ErrTraceDrift, generated.Fingerprint, wantTraceHash, k)
 	}
-	cfg := s.cfg.Base
-	cfg.MemoryPages = capacityFor(generated.FootprintPages, k.OversubPct)
+	return s.assemble(k, setup, generated.Warps, generated.FootprintPages, generated.Fingerprint,
+		s.cfg.Seed^int64(len(k.Bench))^0x5eed)
+}
 
-	policy, err := setup.NewPolicy(cfg, s.cfg.Seed^int64(len(k.Bench))^0x5eed)
+// assemble instantiates k's policy (seeded with seed) and prefetcher and
+// loads traces into a machine: one taken from the session's free list and
+// Reset, or a new one.
+func (s *Session) assemble(k Key, setup core.Setup, traces [][]memdef.Access, footprint int, traceHash uint64, seed int64) (*built, error) {
+	cfg := s.cfg.Base
+	cfg.MemoryPages = capacityFor(footprint, k.OversubPct)
+	policy, err := setup.NewPolicy(cfg, seed)
 	if err != nil {
 		return nil, fmt.Errorf("harness: setup %q policy: %w", k.Setup, err)
 	}
@@ -384,16 +428,19 @@ func (s *Session) buildChecked(k Key, wantTraceHash uint64) (*built, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: setup %q prefetcher: %w", k.Setup, err)
 	}
-	machine := sm.NewMachine(cfg, policy, pf, generated.Warps)
-	machine.SetFootprint(generated.FootprintPages)
+	machine := s.machines.get()
+	if machine == nil || machine.Reset(cfg, policy, pf, traces) != nil {
+		machine = sm.NewMachine(cfg, policy, pf, traces)
+	}
+	machine.SetFootprint(footprint)
 	machine.SetWatchdog(s.cfg.WatchdogWindow)
 	return &built{
 		machine:   machine,
 		policy:    policy,
 		pf:        pf,
 		cfg:       cfg,
-		footprint: generated.FootprintPages,
-		traceHash: generated.Fingerprint,
+		footprint: footprint,
+		traceHash: traceHash,
 	}, nil
 }
 
@@ -446,8 +493,9 @@ func (s *Session) runOne(k Key) (out Result) {
 	if err != nil {
 		return Result{Key: k, Crashed: true, Err: err}
 	}
-	res := b.machine.Run(s.cfg.MaxEvents)
-	return s.collect(k, b, res)
+	out = s.collect(k, b, b.machine.Run(s.cfg.MaxEvents))
+	s.machines.put(b.machine)
+	return out
 }
 
 // RunTrace simulates a pre-recorded trace (instead of a generated Table II
@@ -468,44 +516,12 @@ func (s *Session) RunTrace(tr *trace.Trace, setupName string, oversubPct int) (o
 	if err != nil {
 		return Result{Key: k, Crashed: true, Err: err}
 	}
-	cfg := s.cfg.Base
-	cfg.MemoryPages = capacityFor(tr.FootprintPages, oversubPct)
-
-	policy, err := setup.NewPolicy(cfg, s.cfg.Seed)
+	b, err := s.assemble(k, setup, tr.Warps, tr.FootprintPages, 0, s.cfg.Seed)
 	if err != nil {
-		return Result{Key: k, Crashed: true, Err: fmt.Errorf("harness: setup %q policy: %w", setupName, err)}
+		return Result{Key: k, Crashed: true, Err: err}
 	}
-	pf, err := setup.NewPrefetcher(cfg)
-	if err != nil {
-		return Result{Key: k, Crashed: true, Err: fmt.Errorf("harness: setup %q prefetcher: %w", setupName, err)}
-	}
-	machine := sm.NewMachine(cfg, policy, pf, tr.Warps)
-	machine.SetFootprint(tr.FootprintPages)
-	machine.SetWatchdog(s.cfg.WatchdogWindow)
-	res := machine.Run(s.cfg.MaxEvents)
-
-	out = Result{
-		Key:            k,
-		Cycles:         res.Cycles,
-		Crashed:        res.Crashed,
-		Err:            res.Err,
-		Accesses:       res.Accesses,
-		FootprintPages: tr.FootprintPages,
-		CapacityPages:  cfg.MemoryPages,
-		UVM:            machine.MMU.Stats(),
-	}
-	if m, ok := policy.(*evict.MHPE); ok {
-		st := m.Stats()
-		out.MHPE = &st
-	}
-	if h, ok := policy.(*evict.HPE); ok {
-		st := h.Stats()
-		out.HPE = &st
-	}
-	if p, ok := pf.(*prefetch.Pattern); ok {
-		st := p.Stats()
-		out.Pattern = &st
-	}
+	out = s.collect(k, b, b.machine.Run(s.cfg.MaxEvents))
+	s.machines.put(b.machine)
 	return out
 }
 

@@ -8,6 +8,7 @@ import (
 	"github.com/reproductions/cppe/internal/evict"
 	"github.com/reproductions/cppe/internal/memdef"
 	"github.com/reproductions/cppe/internal/policy"
+	"github.com/reproductions/cppe/internal/trace"
 	"github.com/reproductions/cppe/internal/workload"
 )
 
@@ -265,5 +266,24 @@ func TestTableIIIEndToEndSmallScale(t *testing.T) {
 	}
 	if !strings.Contains(out, "B+T") {
 		t.Errorf("Table III missing sparse app B+T:\n%s", out)
+	}
+}
+
+// TestRunTraceLearnedStats checks that trace runs are assembled and
+// collected on the same path as Run: setup-specific statistics, here the
+// learned policy's, are filled in.
+func TestRunTraceLearnedStats(t *testing.T) {
+	s := NewSession(Config{Scale: 0.05, Warps: 32, Parallelism: 1})
+	bench, _ := workload.ByAbbr("SRD")
+	g := s.generated(bench)
+	res := s.RunTrace(&trace.Trace{FootprintPages: g.FootprintPages, Warps: g.Warps}, "learned", 50)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if res.Learned == nil {
+		t.Fatal("RunTrace with the learned setup returned no Learned stats")
+	}
+	if res.Learned.Evictions == 0 {
+		t.Fatalf("learned trace run at 50%% evicted nothing: %+v", *res.Learned)
 	}
 }

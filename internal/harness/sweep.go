@@ -37,6 +37,9 @@ type lane struct {
 	shard *stats.SweepShard
 	prev  sm.Progress
 	res   Result
+	// panicked marks a lane whose machine panicked: its machine is dropped
+	// rather than returned to the session's free list.
+	panicked bool
 }
 
 // Advance runs the lane's machine up to the epoch boundary, accumulating the
@@ -50,6 +53,7 @@ func (ln *lane) Advance(until memdef.Cycle) (done bool) {
 				Crashed: true,
 				Err:     fmt.Errorf("%w: %v\n%s", ErrPanic, r, debug.Stack()),
 			}
+			ln.panicked = true
 			done = true
 		}
 	}()
@@ -110,6 +114,9 @@ func (s *Session) runGroup(keys []Key) []Result {
 	shard.Commit() // safety net; the driver's final OnEpoch already drained it
 	for _, ln := range group {
 		results[ln.slot] = ln.res
+		if !ln.panicked {
+			s.machines.put(ln.b.machine)
+		}
 	}
 	return results
 }

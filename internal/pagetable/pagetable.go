@@ -65,11 +65,63 @@ type Table struct {
 	// nextNodeID assigns each directory node a pseudo physical address so the
 	// walker's per-level accesses have distinct cache-visible addresses.
 	nextNodeID uint64
+
+	// spareDir and spareLeaf hold the cleared directory nodes of the table's
+	// previous life (see Reset) for walkAlloc to reuse; leaf-level nodes keep
+	// their PTE arrays.
+	//cppelint:statecov node pool is allocation recycling, not mapped state
+	spareDir []*node
+	//cppelint:statecov node pool is allocation recycling, not mapped state
+	spareLeaf []*node
 }
 
 // New returns an empty table.
 func New() *Table {
 	return &Table{}
+}
+
+// Reset empties the table, returning it to the state New builds. Its
+// directory nodes are cleared and kept for reuse by later mappings.
+func (t *Table) Reset() {
+	t.recycleChildren(&t.root, Levels-1)
+	t.root.id = 0
+	t.mapped = 0
+	t.nextNodeID = 0
+}
+
+// recycleChildren moves every node below n (at level) to the spare pools.
+func (t *Table) recycleChildren(n *node, level int) {
+	for i, c := range n.children {
+		if c == nil {
+			continue
+		}
+		n.children[i] = nil
+		c.id = 0
+		if level == 1 {
+			clear(c.leaves)
+			clear(c.present)
+			t.spareLeaf = append(t.spareLeaf, c)
+			continue
+		}
+		t.recycleChildren(c, level-1)
+		t.spareDir = append(t.spareDir, c)
+	}
+}
+
+// newNode returns a cleared node for the given level, reusing a spare one
+// when Reset left any.
+func (t *Table) newNode(level int) *node {
+	pool := &t.spareDir
+	if level == 0 {
+		pool = &t.spareLeaf
+	}
+	if k := len(*pool); k > 0 {
+		n := (*pool)[k-1]
+		(*pool)[k-1] = nil
+		*pool = (*pool)[:k-1]
+		return n
+	}
+	return &node{}
 }
 
 // indexAt extracts the level-l index (l = Levels-1 is the root) of page p.
@@ -204,7 +256,7 @@ func (t *Table) walkAlloc(p memdef.PageNum) *node {
 	for l := Levels - 1; l >= 1; l-- {
 		i := indexAt(p, l)
 		if n.children[i] == nil {
-			n.children[i] = &node{}
+			n.children[i] = t.newNode(l - 1)
 		}
 		n = n.children[i]
 	}

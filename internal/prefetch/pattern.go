@@ -3,6 +3,7 @@ package prefetch
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"github.com/reproductions/cppe/internal/memdef"
 )
@@ -93,21 +94,21 @@ func (pf *Pattern) Name() string { return fmt.Sprintf("pattern-s%d", int(pf.sche
 // Plan implements the pattern lookup described above.
 func (pf *Pattern) Plan(p memdef.PageNum, ctx Context) []memdef.PageNum {
 	if !ctx.MemoryFull {
-		return chunkPages(p, ctx.Resident)
+		return chunkPages(p, ctx)
 	}
 	c := p.Chunk()
 	e, ok := pf.buf[c]
 	if !ok {
-		return chunkPages(p, ctx.Resident)
+		return chunkPages(p, ctx)
 	}
 	pf.stats.Hits++
 	if e.touched.Has(p.Index()) {
 		// Pattern match: migrate only the touched pages of the pattern.
 		pf.stats.Matches++
 		e.matchedOnce = true
-		out := make([]memdef.PageNum, 0, e.touched.Count())
-		for _, i := range e.touched.Indices() {
-			q := c.Page(i)
+		out := ctx.Buf[:0]
+		for rem := e.touched; rem != 0; rem &= rem - 1 {
+			q := c.Page(bits.TrailingZeros16(uint16(rem)))
 			if q == p || !ctx.Resident(q) {
 				out = append(out, q)
 			}
@@ -120,7 +121,7 @@ func (pf *Pattern) Plan(p memdef.PageNum, ctx Context) []memdef.PageNum {
 		delete(pf.buf, c)
 		pf.stats.Deletions++
 	}
-	return chunkPages(p, ctx.Resident)
+	return chunkPages(p, ctx)
 }
 
 // OnMigrate implements Prefetcher (the buffer is fed by evictions only).

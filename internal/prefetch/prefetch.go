@@ -22,6 +22,10 @@ type Context struct {
 	// MemoryFull is true once GPU memory has filled to capacity (it never
 	// becomes false again; capacity is managed by eviction from then on).
 	MemoryFull bool
+	// Buf is optional scratch owned by the caller: a prefetcher may build
+	// its plan in Buf[:0] and return it, so planning allocates nothing. The
+	// caller consumes the plan before its next Plan call. Nil is valid.
+	Buf []memdef.PageNum
 }
 
 // Prefetcher plans the page set migrated on a far fault and observes
@@ -42,13 +46,14 @@ type Prefetcher interface {
 }
 
 // chunkPages lists the non-resident pages of p's chunk in ascending order —
-// the 64 KiB basic-block migration set used by the locality prefetcher.
-func chunkPages(p memdef.PageNum, resident func(memdef.PageNum) bool) []memdef.PageNum {
+// the 64 KiB basic-block migration set used by the locality prefetcher —
+// appended to ctx.Buf[:0].
+func chunkPages(p memdef.PageNum, ctx Context) []memdef.PageNum {
 	c := p.Chunk()
-	out := make([]memdef.PageNum, 0, memdef.ChunkPages)
+	out := ctx.Buf[:0]
 	for i := 0; i < memdef.ChunkPages; i++ {
 		q := c.Page(i)
-		if q == p || !resident(q) {
+		if q == p || !ctx.Resident(q) {
 			out = append(out, q)
 		}
 	}
@@ -68,7 +73,7 @@ func (*Locality) Name() string { return "locality" }
 
 // Plan returns all non-resident pages of the faulted chunk.
 func (*Locality) Plan(p memdef.PageNum, ctx Context) []memdef.PageNum {
-	return chunkPages(p, ctx.Resident)
+	return chunkPages(p, ctx)
 }
 
 // OnMigrate implements Prefetcher (stateless).
@@ -91,9 +96,9 @@ func (*DisableOnFull) Name() string { return "disable-on-full" }
 // Plan returns the chunk before memory fills, the single page after.
 func (*DisableOnFull) Plan(p memdef.PageNum, ctx Context) []memdef.PageNum {
 	if ctx.MemoryFull {
-		return []memdef.PageNum{p}
+		return append(ctx.Buf[:0], p)
 	}
-	return chunkPages(p, ctx.Resident)
+	return chunkPages(p, ctx)
 }
 
 // OnMigrate implements Prefetcher (stateless).
@@ -114,7 +119,7 @@ func (*None) Name() string { return "none" }
 
 // Plan returns only the faulted page.
 func (*None) Plan(p memdef.PageNum, ctx Context) []memdef.PageNum {
-	return []memdef.PageNum{p}
+	return append(ctx.Buf[:0], p)
 }
 
 // OnMigrate implements Prefetcher (stateless).

@@ -66,7 +66,7 @@ func (t *Tree) Plan(p memdef.PageNum, ctx Context) []memdef.PageNum {
 	// the map — map iteration order is randomized and must never shape a
 	// migration plan.
 	region := memdef.ChunkID(uint64(c) / treeSpanChunks * treeSpanChunks)
-	out := make([]memdef.PageNum, 0, len(planned)*memdef.ChunkPages)
+	out := ctx.Buf[:0]
 	for cc := region; cc < region+treeSpanChunks; cc++ {
 		if !planned[cc] {
 			continue

@@ -112,10 +112,35 @@ type Result struct {
 	Frame  pagetable.FrameNum
 }
 
-// newState builds a walk context with the next registry ID and its
-// once-allocated stage callbacks.
+// Reset returns the walker to the state New builds over the same table and
+// memory path: an empty page-walk cache, idle slots, zero counters and an
+// empty registry. Walk contexts from before the Reset stay in the registry's
+// backing array and newState hands them out again, in the same ID order a
+// fresh walker would allocate.
+func (w *Walker) Reset() {
+	w.pwc.Reset()
+	w.slots.Reset(w.cfg.PTWConcurrentWalks)
+	for _, x := range w.states {
+		x.active, x.done, x.doneTag, x.next = false, nil, engine.Tag{}, nil
+		x.p, x.steps, x.i, x.start = 0, x.steps[:0], 0, 0
+	}
+	w.states = w.states[:0]
+	w.free = nil
+	w.walks, w.faults, w.pwcHits, w.pwcMisses, w.memReads, w.totalLat = 0, 0, 0, 0, 0, 0
+}
+
+// newState registers a walk context under the next registry ID: one kept
+// from before the last Reset, or a new one with its once-allocated stage
+// callbacks.
 func (w *Walker) newState() *walkState {
-	x := &walkState{w: w, id: uint64(len(w.states)), steps: make([]pagetable.WalkStep, 0, pagetable.Levels)}
+	id := len(w.states)
+	if id < cap(w.states) {
+		if x := w.states[:id+1][id]; x != nil {
+			w.states = w.states[:id+1]
+			return x
+		}
+	}
+	x := &walkState{w: w, id: uint64(id), steps: make([]pagetable.WalkStep, 0, pagetable.Levels)}
 	x.granted = func() {
 		x.w.walks++
 		x.steps = x.w.table.AppendWalkPath(x.steps[:0], x.p)

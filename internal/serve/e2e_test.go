@@ -71,6 +71,11 @@ func TestServeRealSession(t *testing.T) {
 
 	// New process life over the same state dir: the cache survives, and the
 	// duplicate is answered from disk without starting a worker or a sim.
+	// The first life ends first: its worker journals the job as cached just
+	// after the state flip waitDone observes.
+	if err := srv.Shutdown(0); err != nil {
+		t.Fatal(err)
+	}
 	srv2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

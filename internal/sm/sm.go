@@ -16,6 +16,7 @@
 package sm
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -79,12 +80,30 @@ type memPath struct {
 	free *memReq
 }
 
-// newReq builds a request context with the next registry ID.
+// newReq registers a request context under the next registry ID: one kept
+// from before the last reset, or a new one.
 func (mp *memPath) newReq() *memReq {
-	rq := &memReq{mp: mp, id: uint64(len(mp.reqs))}
+	id := len(mp.reqs)
+	if id < cap(mp.reqs) {
+		if rq := mp.reqs[:id+1][id]; rq != nil {
+			mp.reqs = mp.reqs[:id+1]
+			return rq
+		}
+	}
+	rq := &memReq{mp: mp, id: uint64(id)}
 	rq.run = rq.l2Stage
 	mp.reqs = append(mp.reqs, rq)
 	return rq
+}
+
+// reset empties the request registry, keeping its contexts for newReq to
+// hand out again in ID order.
+func (mp *memPath) reset() {
+	for _, rq := range mp.reqs {
+		rq.active, rq.a, rq.kind, rq.tag, rq.done, rq.next = false, 0, 0, engine.Tag{}, nil, nil
+	}
+	mp.reqs = mp.reqs[:0]
+	mp.free = nil
 }
 
 // Access implements ptw.MemAccessor: L2 lookup, then DRAM on a miss. tag
@@ -134,7 +153,8 @@ type warp struct {
 	pos   int
 
 	// In-flight access state (one access outstanding per warp), read by the
-	// per-warp stage callbacks below, which are built once in NewMachine.
+	// per-warp stage callbacks below, which are built once per warp object
+	// (see newWarp) and survive Reset.
 	acc   memdef.Access
 	issue memdef.Cycle
 
@@ -169,7 +189,6 @@ type Machine struct {
 	stepWarp    func(uint64) // shared ScheduleArg trampoline: allWarps[g].step()
 	activeWarps int
 	started     bool // warps seeded: a restored machine must not reseed
-	finished    memdef.Cycle
 
 	aud *audit.Auditor
 	inj *inject.Injector
@@ -179,12 +198,8 @@ type Machine struct {
 // prefetcher, and loads one trace per warp. Traces beyond
 // NumSMs x WarpsPerSM panic; missing traces just leave warps idle.
 func NewMachine(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher, traces [][]memdef.Access) *Machine {
-	if err := cfg.Validate(); err != nil {
+	if err := checkInputs(cfg, traces); err != nil {
 		panic(err)
-	}
-	maxWarps := cfg.NumSMs * cfg.WarpsPerSM
-	if len(traces) > maxWarps {
-		panic(fmt.Sprintf("sm: %d traces exceed %d warps", len(traces), maxWarps))
 	}
 	eng := engine.New()
 	l2 := cache.New("l2", cfg.L2CacheBytes, cfg.L2CacheWays, cfg.L2CacheLineSz)
@@ -195,26 +210,6 @@ func NewMachine(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher, tra
 
 	m := &Machine{Eng: eng, Cfg: cfg, L2: l2, DRAM: dr, Link: link, MMU: mmu, mp: mp}
 	m.stepWarp = func(g uint64) { m.allWarps[g].step() }
-	if cfg.AuditEveryCycles > 0 {
-		// Integrity auditing: periodic full-state checks run between events
-		// (read-only, so they never perturb event ordering or results).
-		aud := audit.New()
-		aud.SetClock(eng.Now)
-		mmu.AttachAuditor(aud)
-		eng.SetPeriodic(cfg.AuditEveryCycles, func() {
-			if aud.CheckNow("periodic") > 0 {
-				// Fail-stop: end the run with the structured violation
-				// instead of simulating corrupted state to completion.
-				mmu.Abort(aud.Err())
-			}
-		})
-		m.aud = aud
-	}
-	if cfg.ChaosSeed != 0 {
-		inj := inject.New(inject.Defaults(cfg.ChaosSeed))
-		mmu.SetInjector(inj)
-		m.inj = inj
-	}
 	for i := 0; i < cfg.NumSMs; i++ {
 		s := &SM{
 			id:      memdef.SMID(i),
@@ -223,43 +218,166 @@ func NewMachine(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher, tra
 		}
 		m.SMs = append(m.SMs, s)
 	}
-	// Round-robin trace assignment across SMs so a workload's parallelism
-	// spreads over the machine the way a real grid would.
+	m.arm()
+	m.load(traces)
+	return m
+}
+
+// ErrGeometry reports a Reset whose configuration differs from the
+// machine's construction configuration in more than MemoryPages and the
+// audit/chaos knobs: the machine's arrays do not fit it, so the caller must
+// build a new machine.
+var ErrGeometry = errors.New("sm: configuration does not fit the machine")
+
+// Reset returns a used machine to the exact state NewMachine(cfg, pol, pf,
+// traces) would build, keeping every array it owns: caches, TLBs, the
+// engine's queue and node pool, DRAM banks, the link, walker and
+// translation contexts, page-table nodes, chunk states, and warps with their
+// stage callbacks. The previous run may have ended in any state (finished,
+// aborted, out of event budget, or paused). cfg may differ from the
+// construction configuration only in MemoryPages, AuditEveryCycles and
+// ChaosSeed — the auditor and injector are re-created here — and policy,
+// prefetcher and traces are free; anything else returns ErrGeometry and
+// leaves the machine untouched.
+func (m *Machine) Reset(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher, traces [][]memdef.Access) error {
+	if err := checkInputs(cfg, traces); err != nil {
+		return err
+	}
+	if geometry(cfg) != geometry(m.Cfg) {
+		return ErrGeometry
+	}
+	m.Cfg = cfg
+	m.Eng.Reset()
+	m.L2.Reset()
+	m.DRAM.Reset()
+	m.Link.Reset()
+	m.mp.reset()
+	m.MMU.Reset(cfg, pol, pf)
+	for _, s := range m.SMs {
+		s.l1.Reset()
+		clear(s.warps)
+		s.warps = s.warps[:0]
+		s.accessesDone, s.stallCycles = 0, 0
+	}
+	m.unload()
+	m.activeWarps = 0
+	m.started = false
+	m.aud, m.inj = nil, nil
+	m.arm()
+	m.load(traces)
+	return nil
+}
+
+// Release drops the machine's references to its traces, policy and
+// prefetcher, so a machine kept for reuse does not pin them in memory. The
+// machine must be Reset before it runs again.
+func (m *Machine) Release() {
+	m.unload()
+	m.MMU.Release()
+}
+
+// checkInputs validates a build's configuration and trace count.
+func checkInputs(cfg memdef.Config, traces [][]memdef.Access) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if maxWarps := cfg.NumSMs * cfg.WarpsPerSM; len(traces) > maxWarps {
+		return fmt.Errorf("sm: %d traces exceed %d warps", len(traces), maxWarps)
+	}
+	return nil
+}
+
+// geometry is cfg with the fields Reset may change zeroed.
+func geometry(cfg memdef.Config) memdef.Config {
+	cfg.MemoryPages, cfg.AuditEveryCycles, cfg.ChaosSeed = 0, 0, 0
+	return cfg
+}
+
+// arm attaches a fresh integrity auditor and fault injector when the
+// configuration asks for them.
+func (m *Machine) arm() {
+	if m.Cfg.AuditEveryCycles > 0 {
+		// Integrity auditing: periodic full-state checks run between events
+		// (read-only, so they never perturb event ordering or results).
+		aud := audit.New()
+		aud.SetClock(m.Eng.Now)
+		m.MMU.AttachAuditor(aud)
+		m.Eng.SetPeriodic(m.Cfg.AuditEveryCycles, func() {
+			if aud.CheckNow("periodic") > 0 {
+				// Fail-stop: end the run with the structured violation
+				// instead of simulating corrupted state to completion.
+				m.MMU.Abort(aud.Err())
+			}
+		})
+		m.aud = aud
+	}
+	if m.Cfg.ChaosSeed != 0 {
+		inj := inject.New(inject.Defaults(m.Cfg.ChaosSeed))
+		m.MMU.SetInjector(inj)
+		m.inj = inj
+	}
+}
+
+// load assigns one trace per warp, round-robin across SMs so a workload's
+// parallelism spreads over the machine the way a real grid would. Empty
+// traces leave their warp idle.
+func (m *Machine) load(traces [][]memdef.Access) {
 	for wi, tr := range traces {
 		if len(tr) == 0 {
 			continue
 		}
-		s := m.SMs[wi%cfg.NumSMs]
-		w := &warp{
-			id:    memdef.WarpID(wi),
-			gid:   uint64(len(m.allWarps)),
-			sm:    s,
-			trace: tr,
-		}
-		w.translated = func() {
-			m.Eng.ScheduleTagged(m.Cfg.L1HitLatency, engine.Tag{Kind: TagWarpL1, A: w.gid}, w.l1Stage)
-		}
-		w.l1Stage = func() {
-			res := s.l1.Access(w.acc.Addr, w.acc.Kind)
-			if res.WritebackVictim {
-				m.DRAM.Access(w.acc.Addr, memdef.Write, nil)
-			}
-			if res.Hit {
-				w.finished()
-				return
-			}
-			m.mp.Access(w.acc.Addr, w.acc.Kind, engine.Tag{Kind: TagWarpFin, A: w.gid}, w.finished)
-		}
-		w.finished = func() {
-			w.sm.accessesDone++
-			w.sm.stallCycles += m.Eng.Now() - w.issue
-			m.Eng.ScheduleArgTagged(m.Cfg.ComputeGapCycles, engine.Tag{Kind: TagWarpStep, A: w.gid}, m.stepWarp, w.gid)
-		}
+		s := m.SMs[wi%m.Cfg.NumSMs]
+		w := m.newWarp()
+		w.id, w.sm, w.trace = memdef.WarpID(wi), s, tr
+		w.pos, w.acc, w.issue = 0, memdef.Access{}, 0
 		s.warps = append(s.warps, w)
-		m.allWarps = append(m.allWarps, w)
 		m.activeWarps++
 	}
-	return m
+}
+
+// unload empties the warp table, dropping every warp's trace reference. The
+// warp objects stay in the table's backing array for newWarp.
+func (m *Machine) unload() {
+	for _, w := range m.allWarps {
+		w.trace = nil
+	}
+	m.allWarps = m.allWarps[:0]
+}
+
+// newWarp registers a warp under the next global index: one kept from
+// before the last Reset, or a new one with its stage callbacks. The
+// callbacks read the warp's fields (its SM included), so a kept warp serves
+// any SM.
+func (m *Machine) newWarp() *warp {
+	gid := len(m.allWarps)
+	if gid < cap(m.allWarps) {
+		if w := m.allWarps[:gid+1][gid]; w != nil {
+			m.allWarps = m.allWarps[:gid+1]
+			return w
+		}
+	}
+	w := &warp{gid: uint64(gid)}
+	w.translated = func() {
+		m.Eng.ScheduleTagged(m.Cfg.L1HitLatency, engine.Tag{Kind: TagWarpL1, A: w.gid}, w.l1Stage)
+	}
+	w.l1Stage = func() {
+		res := w.sm.l1.Access(w.acc.Addr, w.acc.Kind)
+		if res.WritebackVictim {
+			m.DRAM.Access(w.acc.Addr, memdef.Write, nil)
+		}
+		if res.Hit {
+			w.finished()
+			return
+		}
+		m.mp.Access(w.acc.Addr, w.acc.Kind, engine.Tag{Kind: TagWarpFin, A: w.gid}, w.finished)
+	}
+	w.finished = func() {
+		w.sm.accessesDone++
+		w.sm.stallCycles += m.Eng.Now() - w.issue
+		m.Eng.ScheduleArgTagged(m.Cfg.ComputeGapCycles, engine.Tag{Kind: TagWarpStep, A: w.gid}, m.stepWarp, w.gid)
+	}
+	m.allWarps = append(m.allWarps, w)
+	return w
 }
 
 // SetFootprint forwards the application footprint to the thrash detector.

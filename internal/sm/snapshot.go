@@ -80,8 +80,9 @@ func (m *Machine) EncodeTo(w *snapshot.Writer) {
 }
 
 // DecodeFrom restores the machine from the frame written by EncodeTo. The
-// machine must be freshly constructed from the same configuration, policy,
-// prefetcher, and traces; mismatches surface as structured decode errors.
+// machine must be freshly constructed (or Reset) from the same
+// configuration, policy, prefetcher, and traces; mismatches surface as
+// structured decode errors.
 func (m *Machine) DecodeFrom(r *snapshot.Reader) {
 	r.ExpectMark("MACH")
 	if m.started {
@@ -252,7 +253,7 @@ func (m *Machine) Snapshot() ([]byte, error) {
 // Restore rebuilds machine state from a framed checkpoint produced by
 // Snapshot, then audits the result: the cross-module conservation invariants
 // must hold for the restored state before it is allowed to run. The receiver
-// must be freshly constructed from the same configuration, policy,
+// must be freshly constructed or Reset from the same configuration, policy,
 // prefetcher, and traces. On error the machine must be discarded: state may
 // be partially restored.
 func (m *Machine) Restore(data []byte) error {

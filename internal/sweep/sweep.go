@@ -27,8 +27,8 @@ type Lane interface {
 type Driver struct {
 	// Epoch is the lockstep batch length in simulated cycles. Every lane
 	// reaches boundary N*Epoch before any lane starts on the next batch.
-	// Zero or negative disables batching: each lane runs to completion in
-	// one Advance call (still in registration order).
+	// Zero disables batching: each lane runs to completion in one Advance
+	// call (still in registration order).
 	Epoch memdef.Cycle
 	// OnEpoch, when non-nil, is invoked after every lane has reached the
 	// boundary — the deterministic commit point for per-worker stats deltas.

@@ -410,6 +410,17 @@ func (t *TLB) Flush() {
 	}
 }
 
+// Reset empties the TLB and zeroes its counters and LRU clock, returning it
+// to the state New builds without reallocating its arrays.
+func (t *TLB) Reset() {
+	clear(t.entries)
+	clear(t.idxKeys)
+	clear(t.idxSlots)
+	t.Flush()
+	t.tick = 0
+	t.hits, t.misses, t.evictions, t.shootdowns = 0, 0, 0, 0
+}
+
 // Stats is a snapshot of TLB counters.
 type Stats struct {
 	Name       string

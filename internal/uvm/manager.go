@@ -61,11 +61,19 @@ const (
 	TagMigXfer uint16 = 0x0309
 )
 
-// tagged pairs a waiter callback with the serializable tag that re-creates
-// it on restore.
-type tagged struct {
-	tag engine.Tag
-	fn  func()
+// waitNode is one queued waiter: the callback to wake when a chunk page
+// becomes resident, with the serializable tag that re-creates it on restore.
+// Nodes are pooled per manager (see Manager.waitFree), so queuing a waiter
+// allocates nothing once the pool has warmed up.
+type waitNode struct {
+	tag  engine.Tag
+	fn   func()
+	next *waitNode
+}
+
+// waitList is one chunk page's FIFO of waiters.
+type waitList struct {
+	head, tail *waitNode
 }
 
 // chunkState is the GMMU's per-resident-chunk bookkeeping: which pages are
@@ -86,19 +94,45 @@ type chunkState struct {
 	// fall back to smMaskAll.
 	smMask    uint64
 	smMaskAll bool
-	// waiters holds, per chunk page, the callbacks to wake when the page
-	// becomes resident, each paired with its snapshot tag. Allocated on
-	// first use; slices are recycled.
-	waiters *[memdef.ChunkPages][]tagged
+	// waiters holds, per chunk page, the FIFO of callbacks to wake when the
+	// page becomes resident. hasWaiters records that any page of the chunk
+	// has ever had a waiter; the snapshot encodes the lists only then.
+	waiters    [memdef.ChunkPages]waitList
+	hasWaiters bool
 }
 
-// addWaiter queues resume (re-creatable from tag) until page index idx
+// addWaiter queues resume (re-creatable from tag) on st until page index idx
 // becomes resident.
-func (st *chunkState) addWaiter(idx int, tag engine.Tag, resume func()) {
-	if st.waiters == nil {
-		st.waiters = new([memdef.ChunkPages][]tagged)
+func (m *Manager) addWaiter(st *chunkState, idx int, tag engine.Tag, resume func()) {
+	n := m.waitFree
+	if n == nil {
+		n = &waitNode{}
+	} else {
+		m.waitFree = n.next
 	}
-	st.waiters[idx] = append(st.waiters[idx], tagged{tag: tag, fn: resume})
+	*n = waitNode{tag: tag, fn: resume}
+	l := &st.waiters[idx]
+	if l.tail == nil {
+		l.head = n
+	} else {
+		l.tail.next = n
+	}
+	l.tail = n
+	st.hasWaiters = true
+}
+
+// takeWaiters detaches page index idx's waiter list from st and returns its
+// first node; the caller hands each node back with freeWaiter.
+func (st *chunkState) takeWaiters(idx int) *waitNode {
+	n := st.waiters[idx].head
+	st.waiters[idx] = waitList{}
+	return n
+}
+
+// freeWaiter returns n to the manager's node pool.
+func (m *Manager) freeWaiter(n *waitNode) {
+	*n = waitNode{next: m.waitFree}
+	m.waitFree = n
 }
 
 // Stats aggregates the driver-level counters the evaluation reports.
@@ -301,6 +335,29 @@ type Manager struct {
 	migFree []uint64
 	migBuf  []chunkMask // commitMigration per-chunk grouping scratch
 
+	// Allocation recycling for the fault path and for Reset. None of it is
+	// simulated state: waitFree pools waiter nodes, spareChunks the chunk
+	// states of a previous life, and planBuf is the prefetch-plan scratch
+	// (the plan is copied into the migration registry before the next
+	// fault is serviced).
+	waitFree    *waitNode
+	spareChunks []*chunkState
+	planBuf     []memdef.PageNum
+
+	// Fault-path callbacks, built once in New so scheduling them allocates
+	// nothing (see engine.ScheduleArgTagged): processFaultFn(page),
+	// retryFaultFn(faultRetryArg(page, attempt)), migTransferFn(id) and
+	// migArrivedFn(id); residentFn is the prefetcher's residency oracle and
+	// victimSkip the eviction policy's exclusion predicate, which reads
+	// evictExclude (the operand of the SelectVictim call in progress).
+	processFaultFn func(uint64)
+	retryFaultFn   func(uint64)
+	migTransferFn  func(uint64)
+	migArrivedFn   func(uint64)
+	residentFn     func(memdef.PageNum) bool
+	victimSkip     func(memdef.ChunkID) bool
+	evictExclude   memdef.ChunkID
+
 	footprintPages int
 	aborted        bool
 	failure        error
@@ -346,12 +403,38 @@ func New(eng *engine.Engine, cfg memdef.Config, link *xbus.Link, policy evict.Po
 		pf:            pf,
 		l2tlb:         tlb.New("l2tlb", cfg.L2TLBEntries, cfg.L2TLBWays),
 		capacityPages: cfg.MemoryPages,
+		planBuf:       make([]memdef.PageNum, 0, memdef.ChunkPages),
 	}
 	for i := 0; i < cfg.NumSMs; i++ {
 		m.l1tlbs = append(m.l1tlbs, tlb.New(fmt.Sprintf("l1tlb-sm%d", i), cfg.L1TLBEntries, cfg.L1TLBEntries))
 	}
-	// Clamp driver concurrency so in-flight reservations (one chunk per
-	// slot at most) can never exceed half of a finite capacity.
+	m.migSlots = engine.NewSemaphore(eng, migrationSlots(cfg))
+	m.l2ports = engine.NewSemaphore(eng, l2Ports(cfg))
+	m.walker = ptw.New(eng, cfg, m.table, walkMem)
+	m.processFaultFn = func(page uint64) { m.processFault(memdef.PageNum(page)) }
+	m.retryFaultFn = func(arg uint64) {
+		m.serviceFault(memdef.PageNum(arg>>faultAttemptBits), int(arg&(1<<faultAttemptBits-1)))
+	}
+	m.migTransferFn = m.migTransfer
+	m.migArrivedFn = m.migArrived
+	m.residentFn = m.isResidentOrInflight
+	m.victimSkip = func(c memdef.ChunkID) bool {
+		if c == m.evictExclude {
+			return true
+		}
+		st := m.lookupChunk(c)
+		return st == nil || st.inflight != 0 || st.resident == 0
+	}
+	// View-driven policies get the narrow machine view bound exactly once,
+	// before any event callback (see view.go).
+	m.bindViews()
+	return m
+}
+
+// migrationSlots is the driver's fault-processing concurrency for cfg,
+// clamped so in-flight reservations (one chunk per slot at most) can never
+// exceed half of a finite capacity.
+func migrationSlots(cfg memdef.Config) int {
 	slots := cfg.MaxConcurrentMigrations
 	if slots <= 0 {
 		slots = 1
@@ -364,17 +447,94 @@ func New(eng *engine.Engine, cfg memdef.Config, link *xbus.Link, policy evict.Po
 			slots = 1
 		}
 	}
-	m.migSlots = engine.NewSemaphore(eng, slots)
-	ports := cfg.L2TLBPorts
-	if ports <= 0 {
-		ports = 1
+	return slots
+}
+
+// l2Ports is the shared L2 TLB's port count for cfg (at least one).
+func l2Ports(cfg memdef.Config) int {
+	if cfg.L2TLBPorts <= 0 {
+		return 1
 	}
-	m.l2ports = engine.NewSemaphore(eng, ports)
-	m.walker = ptw.New(eng, cfg, m.table, walkMem)
-	// View-driven policies get the narrow machine view bound exactly once,
-	// before any event callback (see view.go).
+	return cfg.L2TLBPorts
+}
+
+// Reset returns the manager to the state New(eng, cfg, link, policy, pf,
+// walkMem) builds over the same engine, link and walker memory path, which
+// the caller resets alongside. cfg may differ from the construction
+// configuration only in MemoryPages and the audit/chaos knobs; the auditor
+// and injector are detached (the machine re-attaches fresh ones). Every
+// array, registry and pool is kept: translation, walk and migration
+// contexts, chunk states and page-table nodes of the previous run are
+// handed out again in the order a fresh manager would allocate them.
+func (m *Manager) Reset(cfg memdef.Config, pol evict.Policy, pf prefetch.Prefetcher) {
+	m.cfg = cfg
+	m.policy = pol
+	m.pf = pf
+	m.table.Reset()
+	for _, t := range m.l1tlbs {
+		t.Reset()
+	}
+	m.l2tlb.Reset()
+	m.l2ports.Reset(l2Ports(cfg))
+	m.migSlots.Reset(migrationSlots(cfg))
+	m.walker.Reset()
+
+	m.capacityPages = cfg.MemoryPages
+	m.usedPages = 0
+	m.memoryFull = false
+	m.freeFrames = m.freeFrames[:0]
+	m.nextFrame = 0
+
+	for i, st := range m.chunkTab {
+		if st == nil {
+			continue
+		}
+		for idx := range st.waiters {
+			for n := st.takeWaiters(idx); n != nil; {
+				next := n.next
+				m.freeWaiter(n)
+				n = next
+			}
+		}
+		*st = chunkState{}
+		m.spareChunks = append(m.spareChunks, st)
+		m.chunkTab[i] = nil
+	}
+	m.chunkTab = m.chunkTab[:0]
+	m.chunkBase = 0
+
+	for _, x := range m.xlats {
+		x.active, x.done, x.doneTag, x.next = false, nil, engine.Tag{}, nil
+		x.sm, x.page, x.write, x.start = 0, 0, false, 0
+	}
+	m.xlats = m.xlats[:0]
+	m.xlatFree = nil
+	for _, mg := range m.migs {
+		mg.plan, mg.active = mg.plan[:0], false
+	}
+	m.migs = m.migs[:0]
+	m.migFree = m.migFree[:0]
+
+	m.footprintPages = 0
+	m.aborted = false
+	m.failure = nil
+	m.residentPages, m.inflightPages, m.pendingFaults = 0, 0, 0
+	clear(m.evictLog[:])
+	m.evictLogNext, m.evictLogLen = 0, 0
+	m.aud = nil
+	m.inj = nil
+	m.heldCommit = nil
+	m.heldGen = 0
+	m.stats = Stats{}
 	m.bindViews()
-	return m
+}
+
+// Release drops the manager's references to the run's policy and
+// prefetcher, so a pooled machine does not keep them alive. The manager
+// must be Reset before it runs again.
+func (m *Manager) Release() {
+	m.policy = nil
+	m.pf = nil
 }
 
 // SetFootprint tells the thrash detector the application's total footprint
@@ -414,10 +574,18 @@ func (m *Manager) MemoryFull() bool { return m.memoryFull }
 // ResidentPages returns the current number of resident or reserved pages.
 func (m *Manager) ResidentPages() int { return m.usedPages }
 
-// newXlat builds a translation context with the next registry ID and its
-// once-allocated stage callbacks.
+// newXlat registers a translation context under the next registry ID: one
+// kept from before the last Reset, or a new one with its once-allocated
+// stage callbacks.
 func (m *Manager) newXlat() *xlat {
-	x := &xlat{m: m, id: uint64(len(m.xlats))}
+	id := len(m.xlats)
+	if id < cap(m.xlats) {
+		if x := m.xlats[:id+1][id]; x != nil {
+			m.xlats = m.xlats[:id+1]
+			return x
+		}
+	}
+	x := &xlat{m: m, id: uint64(id)}
 	x.l1Stage = func() {
 		if x.m.l1tlbs[x.sm].Lookup(x.page) {
 			x.m.stats.L1THits++
@@ -561,22 +729,35 @@ func (m *Manager) handleFault(page memdef.PageNum, resumeTag engine.Tag, resume 
 	if st.resident.Has(idx) || st.inflight.Has(idx) || st.pendingFault.Has(idx) {
 		// Another fault is already responsible for this page: merge.
 		m.stats.MergedFaults++
-		st.addWaiter(idx, resumeTag, resume)
+		m.addWaiter(st, idx, resumeTag, resume)
 		return
 	}
 	m.stats.FaultEvents++
 	st.pendingFault = st.pendingFault.Set(idx)
 	m.pendingFaults++
-	st.addWaiter(idx, resumeTag, resume)
+	m.addWaiter(st, idx, resumeTag, resume)
 	m.policy.OnFault(page.Chunk())
-	m.migSlots.AcquireTagged(engine.Tag{Kind: TagProcessFault, A: uint64(page)},
-		func() { m.processFault(page) })
+	m.migSlots.AcquireArgTagged(engine.Tag{Kind: TagProcessFault, A: uint64(page)},
+		m.processFaultFn, uint64(page))
 }
 
 // processFault services one claimed fault, retrying transient (injected)
 // service failures with bounded exponential backoff before planning.
 func (m *Manager) processFault(page memdef.PageNum) {
 	m.serviceFault(page, 0)
+}
+
+// faultAttemptBits is the width of the attempt field in a retry callback's
+// argument (see faultRetryArg); maxFaultAttempts must fit in it.
+const faultAttemptBits = 3
+
+// Compile-time check: every attempt below maxFaultAttempts fits the field.
+const _ = uint(1<<faultAttemptBits - maxFaultAttempts)
+
+// faultRetryArg packs a retried fault's page and attempt into the single
+// operand of retryFaultFn.
+func faultRetryArg(page memdef.PageNum, attempt int) uint64 {
+	return uint64(page)<<faultAttemptBits | uint64(attempt)
 }
 
 // retryBackoff returns the driver's backoff before the (attempt+1)-th
@@ -607,9 +788,9 @@ func (m *Manager) serviceFault(page memdef.PageNum, attempt int) {
 			return
 		}
 		m.stats.FaultRetries++
-		m.eng.ScheduleTagged(m.retryBackoff(attempt),
+		m.eng.ScheduleArgTagged(m.retryBackoff(attempt),
 			engine.Tag{Kind: TagFaultRetry, A: uint64(page), B: uint64(attempt + 1)},
-			func() { m.serviceFault(page, attempt+1) })
+			m.retryFaultFn, faultRetryArg(page, attempt+1))
 		return
 	}
 	st := m.chunkState(page.Chunk())
@@ -630,8 +811,9 @@ func (m *Manager) serviceFault(page memdef.PageNum, attempt int) {
 	}
 
 	plan := m.pf.Plan(page, prefetch.Context{
-		Resident:   m.isResidentOrInflight,
+		Resident:   m.residentFn,
 		MemoryFull: m.memoryFull,
+		Buf:        m.planBuf[:0],
 	})
 	// A plan may never exceed half the GPU memory (large tree-prefetch
 	// expansions on small memories), or eviction could not make room.
@@ -657,7 +839,7 @@ func (m *Manager) serviceFault(page memdef.PageNum, attempt int) {
 				// Nothing evictable (pathological tiny capacity): shrink the
 				// plan to just the faulted page and retry once.
 				if len(plan) > 1 {
-					plan = []memdef.PageNum{page}
+					plan = append(m.planBuf[:0], page)
 					continue
 				}
 				// Still no room for a single page: abort this run with a
@@ -688,8 +870,8 @@ func (m *Manager) serviceFault(page memdef.PageNum, attempt int) {
 	// The plan lives in the migration registry so both pending events carry
 	// only the serializable migration ID.
 	id := m.allocMig(plan)
-	m.eng.ScheduleTagged(m.cfg.FaultServiceCycles(), engine.Tag{Kind: TagMigSvc, A: id},
-		func() { m.migTransfer(id) })
+	m.eng.ScheduleArgTagged(m.cfg.FaultServiceCycles(), engine.Tag{Kind: TagMigSvc, A: id},
+		m.migTransferFn, id)
 }
 
 // allocMig registers plan as an in-flight migration and returns its ID.
@@ -699,8 +881,7 @@ func (m *Manager) allocMig(plan []memdef.PageNum) uint64 {
 		id = m.migFree[n-1]
 		m.migFree = m.migFree[:n-1]
 	} else {
-		id = uint64(len(m.migs))
-		m.migs = append(m.migs, &migEntry{})
+		id = m.newMig()
 	}
 	mg := m.migs[id]
 	mg.plan = append(mg.plan[:0], plan...)
@@ -708,24 +889,45 @@ func (m *Manager) allocMig(plan []memdef.PageNum) uint64 {
 	return id
 }
 
+// newMig registers a migration entry under the next registry ID (one kept
+// from before the last Reset when there is one) and returns the ID.
+func (m *Manager) newMig() uint64 {
+	id := len(m.migs)
+	if id < cap(m.migs) {
+		if mg := m.migs[:id+1][id]; mg != nil {
+			m.migs = m.migs[:id+1]
+			return uint64(id)
+		}
+	}
+	m.migs = append(m.migs, &migEntry{})
+	return uint64(id)
+}
+
 // migTransfer starts migration id's H2D transfer after the fault-service
 // latency has elapsed.
 func (m *Manager) migTransfer(id uint64) {
 	bytes := len(m.migs[id].plan) * memdef.PageBytes
-	m.link.TransferT(xbus.HostToDevice, bytes, engine.Tag{Kind: TagMigXfer, A: id},
-		func() { m.migArrived(id) })
+	m.link.TransferArgT(xbus.HostToDevice, bytes, engine.Tag{Kind: TagMigXfer, A: id},
+		m.migArrivedFn, id)
 }
 
 // migArrived commits migration id once its transfer completes (possibly
-// perturbed by the injector) and retires the registry entry.
+// perturbed by the injector).
 func (m *Manager) migArrived(id uint64) {
-	m.deliverCommit(func() {
-		mg := m.migs[id]
-		m.commitMigration(mg.plan)
-		mg.active = false
-		m.migFree = append(m.migFree, id)
-		m.migSlots.Release()
-	})
+	if m.inj == nil {
+		m.commitMig(id)
+		return
+	}
+	m.deliverCommit(func() { m.commitMig(id) })
+}
+
+// commitMig commits migration id and retires its registry entry.
+func (m *Manager) commitMig(id uint64) {
+	mg := m.migs[id]
+	m.commitMigration(mg.plan)
+	mg.active = false
+	m.migFree = append(m.migFree, id)
+	m.migSlots.Release()
 }
 
 // heldFlushCycles bounds how long the injector may hold a commit for
@@ -733,15 +935,11 @@ func (m *Manager) migArrived(id uint64) {
 // can never strand its migration (and the warps waiting on it).
 const heldFlushCycles = memdef.Cycle(20_000)
 
-// deliverCommit delivers a completed migration's commit, applying the
-// injector's perturbations (extra delay, reordered delivery) when armed.
+// deliverCommit delivers a completed migration's commit under an armed
+// injector, applying its perturbations (extra delay, reordered delivery).
 // Commits are order-independent — plans are disjoint and their frames
 // already reserved — which is exactly what reordering exercises.
 func (m *Manager) deliverCommit(commit func()) {
-	if m.inj == nil {
-		commit()
-		return
-	}
 	if d := m.inj.CommitDelay(); d > 0 {
 		engine.After(m.eng, d, func() { m.deliverReordered(commit) })
 		return
@@ -775,25 +973,19 @@ func (m *Manager) deliverReordered(commit func()) {
 	commit()
 }
 
-// wake schedules all waiters registered for page.
+// wake schedules all waiters registered for page, in FIFO order.
 func (m *Manager) wake(page memdef.PageNum) {
 	st := m.lookupChunk(page.Chunk())
-	if st == nil || st.waiters == nil {
+	if st == nil {
 		return
 	}
-	idx := page.Index()
-	ws := st.waiters[idx]
-	if len(ws) == 0 {
-		return
-	}
-	for _, w := range ws {
+	for n := st.takeWaiters(page.Index()); n != nil; {
+		next := n.next
 		// Zero-delay event keeps wake-up ordering deterministic.
-		m.eng.ScheduleTagged(0, w.tag, w.fn)
+		m.eng.ScheduleTagged(0, n.tag, n.fn)
+		m.freeWaiter(n)
+		n = next
 	}
-	for j := range ws {
-		ws[j] = tagged{}
-	}
-	st.waiters[idx] = ws[:0]
 }
 
 // lookupChunk returns the state for chunk c, or nil if c was never touched.
@@ -808,13 +1000,25 @@ func (m *Manager) lookupChunk(c memdef.ChunkID) *chunkState {
 func (m *Manager) chunkState(c memdef.ChunkID) *chunkState {
 	if len(m.chunkTab) == 0 {
 		m.chunkBase = c
-		m.chunkTab = make([]*chunkState, 1, 64)
+		if cap(m.chunkTab) == 0 {
+			m.chunkTab = make([]*chunkState, 0, 64)
+		}
+		m.chunkTab = m.chunkTab[:1]
 	} else if c < m.chunkBase {
-		// Grow downward: shift existing entries up, with headroom.
-		pad := int(m.chunkBase-c) + len(m.chunkTab)
-		grown := make([]*chunkState, int(m.chunkBase-c)+len(m.chunkTab), pad*2)
-		copy(grown[m.chunkBase-c:], m.chunkTab)
-		m.chunkTab = grown
+		// Grow downward: shift existing entries up, in place when the array
+		// has room, else into a new one with headroom.
+		shift := int(m.chunkBase - c)
+		need := shift + len(m.chunkTab)
+		if need <= cap(m.chunkTab) {
+			old := len(m.chunkTab)
+			m.chunkTab = m.chunkTab[:need]
+			copy(m.chunkTab[shift:], m.chunkTab[:old])
+			clear(m.chunkTab[:shift])
+		} else {
+			grown := make([]*chunkState, need, need*2)
+			copy(grown[shift:], m.chunkTab)
+			m.chunkTab = grown
+		}
 		m.chunkBase = c
 	} else if i := int(c - m.chunkBase); i >= len(m.chunkTab) {
 		// Grow upward, amortized.
@@ -829,7 +1033,13 @@ func (m *Manager) chunkState(c memdef.ChunkID) *chunkState {
 	}
 	st := m.chunkTab[c-m.chunkBase]
 	if st == nil {
-		st = &chunkState{}
+		if k := len(m.spareChunks); k > 0 {
+			st = m.spareChunks[k-1]
+			m.spareChunks[k-1] = nil
+			m.spareChunks = m.spareChunks[:k-1]
+		} else {
+			st = &chunkState{}
+		}
 		m.chunkTab[c-m.chunkBase] = st
 	}
 	return st
@@ -933,13 +1143,8 @@ func (m *Manager) integrityFail(check, trigger string, err error) {
 // victim is available (or when the eviction hit an integrity violation and
 // fail-stopped the run). excludeChunk is the chunk of the pending fault.
 func (m *Manager) evictOne(excludeChunk memdef.ChunkID) bool {
-	victim, ok := m.policy.SelectVictim(func(c memdef.ChunkID) bool {
-		if c == excludeChunk {
-			return true
-		}
-		st := m.lookupChunk(c)
-		return st == nil || st.inflight != 0 || st.resident == 0
-	})
+	m.evictExclude = excludeChunk
+	victim, ok := m.policy.SelectVictim(m.victimSkip)
 	if !ok {
 		return false
 	}
@@ -1166,7 +1371,7 @@ func (m *Manager) checkPending() string {
 				// wakes the waiters.
 				continue
 			}
-			if st.waiters == nil || len(st.waiters[idx]) == 0 {
+			if st.waiters[idx].head == nil {
 				c := m.chunkBase + memdef.ChunkID(i)
 				return fmt.Sprintf("pending fault on page %d has no waiters", c.Page(idx))
 			}

@@ -135,15 +135,18 @@ func (m *Manager) Encode(w *snapshot.Writer) {
 		w.PutU16(uint16(st.pendingFault))
 		w.PutU64(st.smMask)
 		w.PutBool(st.smMaskAll)
-		if st.waiters == nil {
+		if !st.hasWaiters {
 			w.PutBool(false)
 			continue
 		}
 		w.PutBool(true)
 		for idx := 0; idx < memdef.ChunkPages; idx++ {
-			ws := st.waiters[idx]
-			w.PutU64(uint64(len(ws)))
-			for _, wt := range ws {
+			n := 0
+			for wt := st.waiters[idx].head; wt != nil; wt = wt.next {
+				n++
+			}
+			w.PutU64(uint64(n))
+			for wt := st.waiters[idx].head; wt != nil; wt = wt.next {
 				if wt.tag.Kind == 0 {
 					w.Fail(fmt.Errorf("%w (uvm waiter on chunk page %d)", engine.ErrUntagged, idx))
 					return
@@ -281,7 +284,7 @@ func (m *Manager) Decode(r *snapshot.Reader, linkDone func(tag engine.Tag) (func
 		return
 	}
 	for len(m.migs) < migTotal {
-		m.migs = append(m.migs, &migEntry{})
+		m.newMig()
 	}
 	migSeen := make([]bool, migTotal)
 	for i := 0; i < migActive; i++ {
@@ -366,7 +369,7 @@ func (m *Manager) Decode(r *snapshot.Reader, linkDone func(tag engine.Tag) (func
 		if !r.GetBool() {
 			continue
 		}
-		st.waiters = new([memdef.ChunkPages][]tagged)
+		st.hasWaiters = true
 		for idx := 0; idx < memdef.ChunkPages; idx++ {
 			nw := r.GetCount(18)
 			for j := 0; j < nw; j++ {
@@ -379,7 +382,7 @@ func (m *Manager) Decode(r *snapshot.Reader, linkDone func(tag engine.Tag) (func
 					r.Fail(fmt.Errorf("%w: uvm waiter: %v", snapshot.ErrCorrupt, err))
 					return
 				}
-				st.waiters[idx] = append(st.waiters[idx], tagged{tag: tag, fn: fn})
+				m.addWaiter(st, idx, tag, fn)
 			}
 		}
 	}

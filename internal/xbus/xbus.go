@@ -66,6 +66,18 @@ func New(eng *engine.Engine, cfg memdef.Config) *Link {
 	}
 }
 
+// Reset returns the link to the state New builds: idle in both directions,
+// zero counters, audit tracking off. The outstanding-transfer arrays are
+// kept for reuse.
+func (l *Link) Reset() {
+	for d := range l.dir {
+		l.dir[d].Reset()
+		l.bytesMoved[d], l.transfers[d] = 0, 0
+		l.outstanding[d] = l.outstanding[d][:0]
+	}
+	l.track = false
+}
+
 // Transfer books a transfer of n bytes in direction d, starting now (or when
 // the link frees up), and invokes done at completion. It returns the
 // completion cycle. Zero-byte transfers complete immediately.
@@ -88,6 +100,15 @@ func (l *Link) TransferT(d Direction, n int, tag engine.Tag, done func()) memdef
 	if done != nil {
 		l.eng.ScheduleAtTagged(finish, tag, done)
 	}
+	return finish
+}
+
+// TransferArgT is TransferT's allocation-free variant: completion runs
+// fn(arg), so hot callers pass a long-lived callback instead of a
+// per-transfer closure (see engine.ScheduleArgTagged).
+func (l *Link) TransferArgT(d Direction, n int, tag engine.Tag, fn func(uint64), arg uint64) memdef.Cycle {
+	finish := l.TransferT(d, n, tag, nil)
+	l.eng.ScheduleArgAtTagged(finish, tag, fn, arg)
 	return finish
 }
 
